@@ -15,7 +15,6 @@
 // instances vector.
 //
 //   perf_survey [--repeats=N] [--sites=N] [--jobs=N] [--out=PATH]
-#include <unistd.h>
 
 #include <cstdint>
 #include <cstring>
@@ -56,16 +55,6 @@ int RunSupervisedWorker(int argc, char** argv) {
           b.b50, b.b50plus, b.nostop);
   fclose(f);
   return 0;
-}
-
-std::string SelfExePath(const char* fallback) {
-  char buf[4096];
-  ssize_t n = readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n <= 0) {
-    return fallback;
-  }
-  buf[n] = '\0';
-  return buf;
 }
 
 }  // namespace
@@ -170,7 +159,7 @@ int main(int argc, char** argv) {
   supervised.name = "supervised_fig9_4shard";
   supervised.items_unit = "sites";
   supervised.items = sites_per_band;
-  std::string self_exe = SelfExePath(argv[0]);
+  std::string self_exe = mfc::SelfExePath(argv[0]);
   std::string worker_prefix = args.out_path + ".supworker";
   for (size_t rep = 0; rep < args.repeats; ++rep) {
     for (size_t shard = 0; shard < 4; ++shard) {
@@ -179,7 +168,7 @@ int main(int argc, char** argv) {
     mfc::PerfTimer timer;
     mfc::SupervisorOptions opt;
     opt.shards = 4;
-    opt.command = [&](size_t shard) {
+    opt.command = [&](size_t shard, bool) {
       return std::vector<std::string>{
           self_exe, "--supervised-worker=" + std::to_string(shard),
           "--worker-sites=" + std::to_string(sites_per_band),

@@ -52,6 +52,16 @@ std::string DescribeWorkerExit(int wait_status) {
   return "status " + std::to_string(wait_status);
 }
 
+std::string SelfExePath(const std::string& fallback) {
+  char buf[4096];
+  ssize_t n = readlink("/proc/self/exe", buf, sizeof(buf) - 1);
+  if (n <= 0) {
+    return fallback;
+  }
+  buf[n] = '\0';
+  return buf;
+}
+
 double SupervisorBackoffSeconds(const RetryPolicy& policy, size_t attempt, uint64_t seed,
                                 size_t shard) {
   double base = policy.BackoffFor(attempt == 0 ? 1 : attempt);
@@ -135,6 +145,7 @@ struct ShardState {
   uint64_t heartbeat_size = 0;
   size_t journaled_at_crash = 0;  // durable records at the previous crash
   bool kill_sent = false;         // SIGKILL issued, waiting for the reap
+  bool sequential = false;        // launch one-job workers (see command)
 };
 
 }  // namespace
@@ -205,7 +216,7 @@ SupervisorResult SurveySupervisor::Run() {
 
   auto launch = [&](size_t index) {
     ShardState& shard = shards[index];
-    std::vector<std::string> args = opt.command(index);
+    std::vector<std::string> args = opt.command(index, shard.sequential);
     std::vector<char*> argv;
     argv.reserve(args.size() + 1);
     for (std::string& arg : args) {
@@ -354,7 +365,19 @@ SupervisorResult SurveySupervisor::Run() {
     }
     // (An unreadable/absent journal counts as zero progress with no suspect.)
 
-    if (tracker.ObserveCrash(index, suspect, journaled)) {
+    // NextPendingSite is the crashing site only for a one-job worker; with
+    // more jobs it may be a slow, healthy neighbour still in flight. Such a
+    // crash blames nothing, and a repeat without progress hunts the site
+    // sequentially.
+    if (!shard.sequential && opt.command(index, true) != opt.command(index, false)) {
+      tracker.Reset(index);
+      if (journaled <= shard.journaled_at_crash) {
+        shard.sequential = true;
+        logf("supervisor: shard %zu made no progress; relaunching it sequentially to find "
+             "the crashing site\n",
+             index);
+      }
+    } else if (tracker.ObserveCrash(index, suspect, journaled)) {
       JournalQuarantineRecord record;
       record.cohort_ordinal = suspect->first;
       record.site_index = suspect->second;
@@ -370,6 +393,7 @@ SupervisorResult SurveySupervisor::Run() {
         totals.quarantined += 1;
         tracker.Reset(index);
         shard.failures = 0;  // the quarantine unblocks the shard
+        shard.sequential = false;
       } else {
         logf("supervisor: shard %zu quarantine append failed: %s\n", index,
              append_error.c_str());

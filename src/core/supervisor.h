@@ -21,7 +21,10 @@
 // progress is poisoned: the supervisor appends a quarantine record to the
 // dead worker's journal (AppendQuarantineRecord) and the restarted worker
 // skips the site (src/core/survey.cc), surfacing it in the merged report
-// instead of wedging the run forever.
+// instead of wedging the run forever. Only a sequential worker's crash names
+// its site, so a multi-job worker's crash blames nothing; a repeat without
+// journal progress relaunches the shard sequentially until a quarantine
+// lands, and only those sequential crashes count toward it.
 //
 // Workers that exit with a usage or journal/merge config error (rc 2 / 3 —
 // see the README exit-code table) are never restarted: the same argv would
@@ -59,6 +62,10 @@ enum class WorkerExitClass {
 
 // Classifies a raw waitpid() status.
 WorkerExitClass ClassifyWorkerExit(int wait_status);
+
+// The path to exec workers from: this very binary (/proc/self/exe), so
+// supervisor and worker never skew versions; |fallback| (argv[0]) off-proc.
+std::string SelfExePath(const std::string& fallback);
 
 // Human-readable exit description — "exit 3", "signal 9 (Killed)" — used in
 // logs and as the crash signature of quarantine records.
@@ -118,7 +125,9 @@ struct SupervisorOptions {
   // Builds the worker argv for one shard (argv[0] must be an executable
   // path); invoked on every launch, including restarts. Workers must resume
   // from their journals, so the same argv is correct every time.
-  std::function<std::vector<std::string>(size_t shard)> command;
+  // |sequential| asks for a worker that runs one site at a time (e.g.
+  // --jobs=1); an argv that does not change with it means workers always do.
+  std::function<std::vector<std::string>(size_t shard, bool sequential)> command;
   // One journal path per shard (required): progress + quarantine target.
   std::vector<std::string> journal_paths;
   // Optional worker --stats-stream paths: their growth is the heartbeat that

@@ -114,12 +114,6 @@ SurveyBreakdown RunSurveyCohortParallel(Cohort cohort, StageKind stage, size_t s
                                         SurveyJournal* journal = nullptr,
                                         const SurveyRunOptions& run = {});
 
-// Sequential wrapper kept for callers that predate the parallel runner.
-inline SurveyBreakdown RunSurveyCohort(Cohort cohort, StageKind stage, size_t servers,
-                                       size_t max_crowd, uint64_t seed) {
-  return RunSurveyCohortParallel(cohort, stage, servers, max_crowd, seed, 1);
-}
-
 }  // namespace mfc
 
 #endif  // MFC_SRC_CORE_SURVEY_H_

@@ -142,7 +142,7 @@ TEST(QuarantineTrackerTest, BlamesOnlyRepeatedNoProgressCrashes) {
 SupervisorOptions ShellOptions(size_t shards, std::string script) {
   SupervisorOptions opt;
   opt.shards = shards;
-  opt.command = [script](size_t shard) {
+  opt.command = [script](size_t shard, bool) {
     return std::vector<std::string>{"/bin/sh", "-c", script,
                                     "worker" + std::to_string(shard)};
   };
@@ -174,7 +174,7 @@ TEST(SurveySupervisorTest, RetryableCrashIsRestartedUntilSuccess) {
     remove(TempPath("sup_marker_worker" + std::to_string(j)).c_str());
   }
   SupervisorOptions opt = ShellOptions(2, "exit 1");
-  opt.command = [](size_t shard) {
+  opt.command = [](size_t shard, bool) {
     std::string marker = TempPath("sup_marker_worker" + std::to_string(shard));
     return std::vector<std::string>{
         "/bin/sh", "-c",
@@ -189,6 +189,22 @@ TEST(SurveySupervisorTest, RetryableCrashIsRestartedUntilSuccess) {
     EXPECT_EQ(result.shards[j].crashes, 1u);
     remove(TempPath("sup_marker_worker" + std::to_string(j)).c_str());
   }
+}
+
+TEST(SurveySupervisorTest, MultiJobCrashWithoutProgressRelaunchesSequentially) {
+  // A multi-job worker that dies without journal progress is relaunched
+  // sequentially, blaming no site; this worker only succeeds when it is.
+  SupervisorOptions opt = ShellOptions(1, "");
+  opt.command = [](size_t, bool sequential) {
+    return std::vector<std::string>{"/bin/sh", "-c", "[ \"$1\" = --jobs=1 ] && exit 0; exit 1",
+                                    "worker", sequential ? "--jobs=1" : "--jobs=2"};
+  };
+  SurveySupervisor supervisor(std::move(opt));
+  SupervisorResult result = supervisor.Run();
+  EXPECT_TRUE(result.ok) << result.error;
+  EXPECT_EQ(result.shards[0].launches, 2u);
+  EXPECT_EQ(result.shards[0].crashes, 1u);
+  EXPECT_TRUE(result.quarantines.empty());
 }
 
 TEST(SurveySupervisorTest, PermanentExitCodeIsNeverRestarted) {

@@ -10,9 +10,11 @@ no third-party deps):
   2. N seeded chaos rounds (default 3) each start a supervised 2-shard run
      and repeatedly SIGKILL or SIGSTOP a random live worker mid-run —
      worker pids are parsed from the supervisor's "shard J pid P started"
-     lines, and a shard only becomes a target again after its journal
-     grew past the previous kill (so restarts demonstrably made progress
-     and no healthy site can accumulate a no-progress blame streak).
+     lines and retired again by its "completed/crashed/drained/pid exited/
+     hung" lines, a dead but unreaped (zombie) worker is never struck, and
+     a shard only becomes a target again after its journal grew past the
+     previous kill (so restarts demonstrably made progress and no healthy
+     site can accumulate a no-progress blame streak).
      SIGSTOPped workers must be detected by the heartbeat deadline and
      hang-killed. Every round must end with exit 0 and report/trace/
      metrics BYTE-IDENTICAL to the fault-free reference;
@@ -43,6 +45,8 @@ SURVEY = ["--cohort=startup", "--survey=240", "--seed=7", "--max-crowd=24", "--q
 SHARDS = 2
 KILLS_PER_ROUND = 3
 START_RE = re.compile(rb"supervisor: shard (\d+) pid (\d+) started")
+# After any of these the shard has no live worker until its next "started".
+END_RE = re.compile(rb"supervisor: shard (\d+) (?:completed|crashed|drained|pid exited|pid \d+ hung)")
 CRASH_SITE = "5"
 
 ROUND_TIMEOUT = 120  # seconds per supervised run, far above the ~10s typical
@@ -56,6 +60,19 @@ def fail(msg):
 def slurp(path):
     with open(path, "rb") as f:
         return f.read()
+
+
+def is_zombie(pid):
+    """True when |pid| has exited but is not reaped yet. A zombie accepts
+    SIGSTOP silently, so striking it would record a fault that never
+    happened (and a hang kill that can never be logged)."""
+    try:
+        stat = slurp("/proc/%d/stat" % pid)
+    except OSError:
+        return False  # gone entirely: os.kill reports that itself
+    # The state field follows the parenthesised command name, which may
+    # itself contain spaces or parentheses.
+    return stat[stat.rindex(b")") + 2 : stat.rindex(b")") + 3] == b"Z"
 
 
 def journal_lines(path):
@@ -82,6 +99,9 @@ class PidWatcher(threading.Thread):
                 match = START_RE.search(line)
                 if match:
                     self.pids[int(match.group(1))] = int(match.group(2))
+                match = END_RE.search(line)
+                if match:
+                    self.pids.pop(int(match.group(1)), None)
 
     def pid_of(self, shard):
         with self.lock:
@@ -150,16 +170,18 @@ def chaos_round(profile_bin, path, round_idx, seed):
     deadline = time.monotonic() + ROUND_TIMEOUT
     while proc.poll() is None and time.monotonic() < deadline:
         if len(kills) < KILLS_PER_ROUND:
+            live = {j: watcher.pid_of(j) for j in range(SHARDS)}
             eligible = [
                 j
-                for j in range(SHARDS)
-                if watcher.pid_of(j) is not None
+                for j, pid in live.items()
+                if pid is not None
+                and not is_zombie(pid)
                 and journal_lines(shard_journal(j)) > last_kill_lines[j]
             ]
             if eligible:
                 victim = rng.choice(eligible)
                 sig = rng.choice([signal.SIGKILL, signal.SIGSTOP])
-                pid = watcher.pid_of(victim)
+                pid = live[victim]
                 last_kill_lines[victim] = journal_lines(shard_journal(victim))
                 try:
                     os.kill(pid, sig)

@@ -22,35 +22,17 @@
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include "src/core/arg_parse.h"
 #include "src/core/experiment_runner.h"
 #include "src/core/export.h"
 #include "src/core/inference.h"
-#include "src/core/journal/journal.h"
-#include "src/core/journal/shutdown.h"
 #include "src/core/parallel_runner.h"
 #include "src/core/shard_merge.h"
 #include "src/core/supervisor.h"
-#include "src/core/survey.h"
-#include "src/telemetry/stats_stream.h"
+#include "src/core/survey_driver.h"
 
 namespace mfc {
 namespace {
-
-// Exit codes (see the README table): 0 success; 1 experiment aborted;
-// 2 usage / flag errors; 3 journal or merge errors; 130 interrupted by
-// SIGINT/SIGTERM (after draining). The supervisor relies on the split:
-// 2/3 are permanent (restarting the same argv would fail identically),
-// everything else is retryable.
-enum ExitCode {
-  kExitOk = 0,
-  kExitAborted = 1,
-  kExitUsage = 2,
-  kExitJournal = 3,
-  kExitInterrupted = 130,
-};
 
 struct Options {
   std::string argv0 = "mfc_profile";  // worker re-exec fallback (--supervise)
@@ -65,10 +47,7 @@ struct Options {
   double background_rps = 0.0;
   uint64_t seed = 1;
   size_t survey = 0;            // when > 0: survey this many cohort sites
-  size_t jobs = 0;              // worker threads (0 = MFC_JOBS env / hardware)
-  size_t shards = 1;            // total survey shards (DESIGN.md §12)
-  size_t shard_index = 0;       // this process's shard in [0, shards)
-  bool legacy_seeds = false;    // pre-PR-8 sampling + seed*1000+i seeds
+  SurveyFlags flags;            // --jobs, --shards, --journal, --json, ... (all modes)
   std::vector<std::string> merge_paths;  // --merge: shard journals to fold
   bool supervise = false;       // fork/monitor shard workers, then auto-merge
   double hang_timeout = 30.0;   // supervise: no-heartbeat deadline (seconds)
@@ -77,17 +56,21 @@ struct Options {
   bool crawl = false;           // profile via crawling instead of operator input
   bool verbose_epochs = true;
   std::string csv_path;         // write per-epoch CSV here
-  std::string json_path;        // write the full result as JSON here
-  std::string trace_path;       // write a Chrome trace_event JSON here
-  std::string metrics_path;     // write the merged metrics CSV here
-  std::string journal_path;     // write-ahead experiment journal (crash-safe)
-  bool resume = false;          // replay journaled experiments from --journal
-  std::string stats_stream_path;  // JSONL health snapshots ("-" = stdout)
-  double stats_interval = 1.0;    // snapshot cadence (wall s for surveys, sim s otherwise)
-  bool progress = false;          // verbose per-site survey lines on stderr
-  std::vector<StageKind> stages = {StageKind::kBase, StageKind::kSmallQuery,
-                                   StageKind::kLargeObject};
+  // Empty = the default: all three stages for one experiment, Base for a
+  // survey (which runs exactly one stage).
+  std::vector<StageKind> stages;
 };
+
+std::vector<StageKind> ExperimentStages(const Options& options) {
+  if (!options.stages.empty()) {
+    return options.stages;
+  }
+  return {StageKind::kBase, StageKind::kSmallQuery, StageKind::kLargeObject};
+}
+
+StageKind SurveyStage(const Options& options) {
+  return options.stages.empty() ? StageKind::kBase : options.stages[0];
+}
 
 void Usage() {
   printf(
@@ -101,12 +84,13 @@ void Usage() {
       "  --mr=<N>              MFC-mr connections per client (default 1)\n"
       "  --stagger-ms=<N>      staggered arrivals, spacing in ms (default 0)\n"
       "  --background-rps=<N>  Poisson background request rate (default 0)\n"
-      "  --stages=<list>       comma list of base,query,large (default all)\n"
+      "  --stages=<list>       comma list of base,query,large (default all; a survey\n"
+      "                        runs one stage, default base)\n"
+      "  --seed=<N>            RNG seed\n"
+      "  --quiet               suppress per-epoch output\n"
+      "  --crawl               discover probe objects by crawling\n"
+      "  --csv=<path>          write per-epoch CSV\n"
       "  --survey=<N>          run N sampled cohort sites and print the breakdown\n"
-      "  --jobs=<N>            survey worker threads (default: MFC_JOBS env, then cores)\n"
-      "  --shards=<K>          split the survey across K cooperating processes; this one\n"
-      "                        runs sites with index %% K == --shard-index (needs --journal)\n"
-      "  --shard-index=<J>     this process's shard (default 0)\n"
       "  --merge=<p1,p2,...>   fold K shard journals into the single-run report/outputs\n"
       "  --supervise           run the whole sharded survey unattended: fork one worker\n"
       "                        per shard (journals at <--journal>.shard<j>), restart\n"
@@ -116,26 +100,28 @@ void Usage() {
       "                        a live worker is declared hung (default 30)\n"
       "  --quarantine-after=<K> supervise: consecutive no-progress crashes on the same\n"
       "                        site before it is quarantined (default 3)\n"
-      "  --legacy-seeds        pre-PR-8 seed derivation (sequential sampling, seed*1000+i;\n"
-      "                        collides past 1000 sites) for replaying old journals\n"
       "  --sample-only         stream-sample the survey sites (no experiments); prints a\n"
       "                        digest + resident instance count\n"
-      "  --crawl               discover probe objects by crawling\n"
-      "  --csv=<path>          write per-epoch CSV\n"
-      "  --json=<path>         write the result as JSON\n"
-      "  --trace=<path>        write request/coordinator spans as Chrome trace JSON\n"
-      "  --metrics=<path>      write the (merged) metrics registry as CSV\n"
-      "  --journal=<path>      write-ahead journal: completed experiments are appended\n"
-      "                        + fsynced; surveys drain gracefully on SIGINT/SIGTERM\n"
-      "  --resume              replay already-journaled experiments from --journal\n"
-      "  --stats-stream=<path> stream runtime health snapshots as JSONL ('-' = stdout)\n"
-      "  --stats-interval=<S>  snapshot cadence in seconds (wall-clock for surveys,\n"
-      "                        simulated time for single experiments; default 1)\n"
-      "  --progress            verbose per-site survey lines on stderr (default: a\n"
-      "                        rate-limited progress line, terminal only)\n"
-      "  --seed=<N>            RNG seed\n"
-      "  --quiet               suppress per-epoch output\n");
+      "survey and output flags:\n%s",
+      kSurveyFlagsUsage);
 }
+
+// Splits "a,b,c" into its non-empty items.
+std::vector<std::string> SplitList(const std::string& list) {
+  std::vector<std::string> items;
+  size_t pos = 0;
+  while (pos <= list.size()) {
+    size_t comma = std::min(list.find(',', pos), list.size());
+    if (comma > pos) {
+      items.push_back(list.substr(pos, comma - pos));
+    }
+    pos = comma + 1;
+  }
+  return items;
+}
+
+// --stages spellings, in StageKind order.
+constexpr const char* kStageFlagNames[] = {"base", "query", "large"};
 
 std::optional<Options> ParseArgs(int argc, char** argv) {
   Options options;
@@ -144,6 +130,14 @@ std::optional<Options> ParseArgs(int argc, char** argv) {
   }
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
+    switch (ParseSurveyFlag(arg, &options.flags)) {
+      case FlagMatch::kMatched:
+        continue;
+      case FlagMatch::kInvalid:
+        return std::nullopt;
+      case FlagMatch::kUnknown:
+        break;
+    }
     auto value_of = [&arg](const char* prefix) -> std::optional<std::string> {
       size_t n = strlen(prefix);
       if (arg.rfind(prefix, 0) == 0) {
@@ -175,27 +169,8 @@ std::optional<Options> ParseArgs(int argc, char** argv) {
       if (!ParseU64Flag("--seed", *v, &options.seed)) return std::nullopt;
     } else if (auto v = value_of("--survey=")) {
       if (!ParseSizeFlag("--survey", *v, &options.survey)) return std::nullopt;
-    } else if (auto v = value_of("--jobs=")) {
-      if (!ParseSizeFlag("--jobs", *v, &options.jobs)) return std::nullopt;
-    } else if (auto v = value_of("--shards=")) {
-      if (!ParseSizeFlag("--shards", *v, &options.shards)) return std::nullopt;
-    } else if (auto v = value_of("--shard-index=")) {
-      if (!ParseSizeFlag("--shard-index", *v, &options.shard_index)) return std::nullopt;
     } else if (auto v = value_of("--merge=")) {
-      std::string list = *v;
-      size_t pos = 0;
-      while (pos <= list.size()) {
-        size_t comma = list.find(',', pos);
-        std::string path = list.substr(pos, comma == std::string::npos ? std::string::npos
-                                                                       : comma - pos);
-        if (!path.empty()) {
-          options.merge_paths.push_back(path);
-        }
-        if (comma == std::string::npos) {
-          break;
-        }
-        pos = comma + 1;
-      }
+      options.merge_paths = SplitList(*v);
     } else if (arg == "--supervise") {
       options.supervise = true;
     } else if (auto v = value_of("--hang-timeout=")) {
@@ -203,82 +178,53 @@ std::optional<Options> ParseArgs(int argc, char** argv) {
     } else if (auto v = value_of("--quarantine-after=")) {
       if (!ParseSizeFlag("--quarantine-after", *v, &options.quarantine_after))
         return std::nullopt;
-    } else if (arg == "--legacy-seeds") {
-      options.legacy_seeds = true;
     } else if (arg == "--sample-only") {
       options.sample_only = true;
     } else if (auto v = value_of("--csv=")) {
       options.csv_path = *v;
-    } else if (auto v = value_of("--json=")) {
-      options.json_path = *v;
-    } else if (auto v = value_of("--trace=")) {
-      options.trace_path = *v;
-    } else if (auto v = value_of("--metrics=")) {
-      options.metrics_path = *v;
-    } else if (auto v = value_of("--journal=")) {
-      options.journal_path = *v;
-    } else if (auto v = value_of("--stats-stream=")) {
-      options.stats_stream_path = *v;
-    } else if (auto v = value_of("--stats-interval=")) {
-      if (!ParseDoubleFlag("--stats-interval", *v, &options.stats_interval)) return std::nullopt;
-    } else if (arg == "--progress") {
-      options.progress = true;
-    } else if (arg == "--resume") {
-      options.resume = true;
     } else if (arg == "--crawl") {
       options.crawl = true;
     } else if (arg == "--quiet") {
       options.verbose_epochs = false;
     } else if (auto v = value_of("--stages=")) {
       options.stages.clear();
-      std::string list = *v;
-      size_t pos = 0;
-      while (pos <= list.size()) {
-        size_t comma = list.find(',', pos);
-        std::string stage = list.substr(pos, comma == std::string::npos ? std::string::npos
-                                                                        : comma - pos);
-        if (stage == "base") {
-          options.stages.push_back(StageKind::kBase);
-        } else if (stage == "query") {
-          options.stages.push_back(StageKind::kSmallQuery);
-        } else if (stage == "large") {
-          options.stages.push_back(StageKind::kLargeObject);
-        } else {
+      for (const std::string& stage : SplitList(*v)) {
+        auto* name = std::find(std::begin(kStageFlagNames), std::end(kStageFlagNames), stage);
+        if (name == std::end(kStageFlagNames)) {
           fprintf(stderr, "unknown stage '%s'\n", stage.c_str());
           return std::nullopt;
         }
-        if (comma == std::string::npos) {
-          break;
-        }
-        pos = comma + 1;
+        options.stages.push_back(static_cast<StageKind>(name - std::begin(kStageFlagNames)));
       }
     } else {
       fprintf(stderr, "unknown flag '%s'\n", arg.c_str());
       return std::nullopt;
     }
   }
-  if (options.resume && options.journal_path.empty()) {
-    fprintf(stderr, "--resume requires --journal=<path>\n");
+  const SurveyFlags& flags = options.flags;
+  if (options.survey > 0 && options.stages.size() > 1) {
+    fprintf(stderr, "--survey runs one stage; pass one of --stages=base|query|large\n");
     return std::nullopt;
   }
-  if (options.shards == 0) {
-    fprintf(stderr, "--shards must be >= 1\n");
+  if (!options.supervise && flags.shards > 1 && options.survey == 0) {
+    fprintf(stderr, "--shards requires --survey=<N>\n");
     return std::nullopt;
   }
-  if (options.shard_index >= options.shards) {
-    fprintf(stderr, "--shard-index=%zu out of range for --shards=%zu\n", options.shard_index,
-            options.shards);
+  // Supervised runs drive full shard workers and merge their journals, so
+  // --json/--trace/--metrics are fine at any shard count: the supervisor
+  // writes them from the merged view, never a partial one.
+  ShardMode mode = options.supervise     ? ShardMode::kSupervised
+                   : options.sample_only ? ShardMode::kSampleOnly
+                                         : ShardMode::kJournaled;
+  if (!ValidateSurveyFlags(flags, mode)) {
     return std::nullopt;
   }
   if (options.supervise) {
-    // Supervised runs drive full shard workers and merge their journals, so
-    // --json/--trace/--metrics are fine at any shard count — the supervisor
-    // writes them from the merged view, never a partial one.
     if (options.survey == 0) {
       fprintf(stderr, "--supervise requires --survey=<N>\n");
       return std::nullopt;
     }
-    if (options.journal_path.empty()) {
+    if (flags.journal_path.empty()) {
       fprintf(stderr,
               "--supervise requires --journal=<prefix> (shard journals land at "
               "<prefix>.shard<j>)\n");
@@ -292,7 +238,7 @@ std::optional<Options> ParseArgs(int argc, char** argv) {
       fprintf(stderr, "--supervise cannot be combined with --sample-only\n");
       return std::nullopt;
     }
-    if (options.shard_index != 0) {
+    if (flags.shard_index != 0) {
       fprintf(stderr, "--shard-index is assigned by the supervisor; drop it\n");
       return std::nullopt;
     }
@@ -302,23 +248,6 @@ std::optional<Options> ParseArgs(int argc, char** argv) {
     }
     if (options.quarantine_after == 0) {
       fprintf(stderr, "--quarantine-after must be >= 1\n");
-      return std::nullopt;
-    }
-  } else if (options.shards > 1) {
-    if (options.survey == 0) {
-      fprintf(stderr, "--shards requires --survey=<N>\n");
-      return std::nullopt;
-    }
-    if (options.journal_path.empty() && !options.sample_only) {
-      // Without journals there is nothing to merge — a sharded run's only
-      // durable output is its journal.
-      fprintf(stderr, "--shards requires --journal=<path> (shards are merged from journals)\n");
-      return std::nullopt;
-    }
-    if (!options.json_path.empty()) {
-      fprintf(stderr,
-              "--json with --shards > 1 would be a partial report; use --merge after the "
-              "shards finish\n");
       return std::nullopt;
     }
   }
@@ -367,35 +296,6 @@ std::optional<SiteInstance> ResolveSite(const Options& options) {
   return SampleSite(rng, *cohort);
 }
 
-// Atomic (temp file + rename): an aborted run never leaves a truncated
-// export behind.
-bool WriteFile(const std::string& path, const std::string& contents) {
-  if (!WriteFileAtomic(path, contents)) {
-    fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  printf("wrote %s\n", path.c_str());
-  return true;
-}
-
-// Opens the journal for either mode, printing errors/warnings. The
-// fingerprint must pin everything that shapes the experiment — never --jobs
-// or output paths.
-std::unique_ptr<SurveyJournal> OpenJournal(const Options& options, const std::string& tool,
-                                           const std::string& fingerprint) {
-  std::string error;
-  std::unique_ptr<SurveyJournal> journal =
-      SurveyJournal::Open(options.journal_path, tool, fingerprint, options.resume, &error);
-  if (journal == nullptr) {
-    fprintf(stderr, "journal error: %s\n", error.c_str());
-    return nullptr;
-  }
-  if (!journal->Warning().empty()) {
-    fprintf(stderr, "journal warning: %s\n", journal->Warning().c_str());
-  }
-  return journal;
-}
-
 std::string StagesToken(const std::vector<StageKind>& stages) {
   std::string token;
   for (StageKind kind : stages) {
@@ -420,7 +320,8 @@ void PrintSurveyBreakdownLine(const SurveyBreakdown& b) {
 // digest plus how many instances ended up resident. check_shard_merge.py
 // drives 100k+ sites through this to pin the O(1)-memory streaming claim.
 int RunSampleOnly(const Options& options, Cohort cohort) {
-  SiteStream sites(cohort, options.seed, options.survey, options.legacy_seeds);
+  const SurveyFlags& flags = options.flags;
+  SiteStream sites(cohort, options.seed, options.survey, flags.legacy_seeds);
   uint64_t digest = 1469598103934665603ULL;  // FNV-1a 64 offset basis
   auto fold = [&digest](double v) {
     uint64_t bits;
@@ -429,7 +330,7 @@ int RunSampleOnly(const Options& options, Cohort cohort) {
       digest = (digest ^ ((bits >> b) & 0xff)) * 1099511628211ULL;
     }
   };
-  for (size_t i = options.shard_index; i < options.survey; i += options.shards) {
+  for (size_t i = flags.shard_index; i < options.survey; i += flags.shards) {
     SiteInstance instance = sites.Site(i);
     fold(instance.base_knee);
     fold(instance.query_knee);
@@ -439,9 +340,9 @@ int RunSampleOnly(const Options& options, Cohort cohort) {
     fold(static_cast<double>(instance.replicas));
   }
   printf("sampled cohort=%s servers=%zu shard=%zu/%zu digest=%016llx materialized=%zu\n",
-         std::string(CohortName(cohort)).c_str(), options.survey, options.shard_index,
-         options.shards, static_cast<unsigned long long>(digest), sites.MaterializedCount());
-  return 0;
+         std::string(CohortName(cohort)).c_str(), options.survey, flags.shard_index,
+         flags.shards, static_cast<unsigned long long>(digest), sites.MaterializedCount());
+  return kExitOk;
 }
 
 // --survey=N: profile N cohort sites across the worker pool and print the
@@ -449,148 +350,85 @@ int RunSampleOnly(const Options& options, Cohort cohort) {
 int RunSurvey(const Options& options) {
   if (!options.profile.empty()) {
     fprintf(stderr, "--survey requires a cohort, not a named profile\n");
-    return 2;
+    return kExitUsage;
   }
   auto cohort = ResolveCohort(options);
   if (!cohort.has_value()) {
-    return 2;
+    return kExitUsage;
   }
   if (options.sample_only) {
     return RunSampleOnly(options, *cohort);
   }
-  StageKind stage = options.stages.empty() ? StageKind::kBase : options.stages[0];
-  size_t jobs = ResolveJobs(options.jobs);
+  const SurveyFlags& flags = options.flags;
+  const SurveyCohortRun run = {*cohort, SurveyStage(options), options.survey, options.max_crowd,
+                               options.seed};
+  SurveyDriver driver(flags);
   printf("survey: cohort=%s stage=%s servers=%zu max-crowd=%zu jobs=%zu seed=%llu",
-         std::string(CohortName(*cohort)).c_str(), std::string(StageName(stage)).c_str(),
-         options.survey, options.max_crowd, jobs,
-         static_cast<unsigned long long>(options.seed));
-  if (options.shards > 1) {
-    printf(" shard=%zu/%zu", options.shard_index, options.shards);
+         std::string(CohortName(run.cohort)).c_str(), std::string(StageName(run.stage)).c_str(),
+         run.servers, run.max_crowd, driver.Jobs(), static_cast<unsigned long long>(run.seed));
+  if (flags.shards > 1) {
+    printf(" shard=%zu/%zu", flags.shard_index, flags.shards);
   }
-  if (options.legacy_seeds) {
+  if (flags.legacy_seeds) {
     printf(" legacy-seeds");
   }
   printf("\n\n");
-  SurveyTelemetry telemetry;
-  telemetry.collect_trace = !options.trace_path.empty();
-  telemetry.collect_metrics = !options.metrics_path.empty();
-  telemetry.progress = options.progress;
-
-  // Health plane: JSONL snapshot stream and/or the rate-limited terminal
-  // progress line (which replaces the old unconditional per-site spam; the
-  // verbose lines are now opt-in via --progress).
-  std::unique_ptr<StatsStream> stats;
-  if (!options.stats_stream_path.empty()) {
-    std::string error;
-    stats = StatsStream::Open(options.stats_stream_path, &error);
-    if (stats == nullptr) {
-      fprintf(stderr, "%s\n", error.c_str());
-      return 2;
-    }
+  char fingerprint[160];
+  snprintf(fingerprint, sizeof(fingerprint),
+           "cohort=%s;stage=%d;servers=%zu;max=%zu;seed=%llu;trace=%d;metrics=%d",
+           std::string(CohortName(run.cohort)).c_str(), static_cast<int>(run.stage), run.servers,
+           run.max_crowd, static_cast<unsigned long long>(run.seed),
+           flags.trace_path.empty() ? 0 : 1, flags.metrics_path.empty() ? 0 : 1);
+  if (ExitCode rc = driver.Open("mfc_profile:survey", fingerprint); rc != kExitOk) {
+    return rc;
   }
-  ProgressLine progress_line(1.0);
-  telemetry.stats = stats.get();
-  if (!options.progress && progress_line.Enabled()) {
-    telemetry.progress_line = &progress_line;
-  }
-  telemetry.stats_interval = options.stats_interval;
-  telemetry.stats_label = std::string(CohortName(*cohort));
-  std::unique_ptr<SurveyJournal> journal;
-  if (!options.journal_path.empty()) {
-    char fingerprint[160];
-    snprintf(fingerprint, sizeof(fingerprint),
-             "cohort=%s;stage=%d;servers=%zu;max=%zu;seed=%llu;trace=%d;metrics=%d",
-             std::string(CohortName(*cohort)).c_str(), static_cast<int>(stage), options.survey,
-             options.max_crowd, static_cast<unsigned long long>(options.seed),
-             telemetry.collect_trace ? 1 : 0, telemetry.collect_metrics ? 1 : 0);
-    journal = OpenJournal(options, "mfc_profile:survey", fingerprint);
-    if (journal == nullptr) {
-      return kExitJournal;
-    }
-    std::string error;
-    if (!journal->BeginCohort(*cohort, stage, options.survey, options.max_crowd, options.seed,
-                              0, &error, options.shards, options.shard_index,
-                              options.legacy_seeds)) {
-      fprintf(stderr, "journal error: %s\n", error.c_str());
-      return kExitJournal;
-    }
-    ClearShutdownRequest();
-    InstallShutdownHandlers();
-  }
-  SurveyTelemetry* telemetry_arg =
-      telemetry.Enabled() || telemetry.progress || telemetry.HealthAttached() ? &telemetry
-                                                                              : nullptr;
-  SurveyRunOptions run;
-  run.shards = options.shards;
-  run.shard_index = options.shard_index;
-  run.legacy_seeds = options.legacy_seeds;
   std::vector<ExperimentResult> per_site;
-  const bool want_report = !options.json_path.empty();
-  SurveyBreakdown b = RunSurveyCohortParallel(*cohort, stage, options.survey,
-                                              options.max_crowd, options.seed, jobs,
-                                              want_report ? &per_site : nullptr, telemetry_arg,
-                                              journal.get(), run);
-  PrintSurveyBreakdownLine(b);
-  if (telemetry.collect_metrics) {
-    // A non-zero stall count means some allocation pass left flows pinned at
-    // rate 0 (see FlowNetworkStats::no_progress) — results are suspect.
-    double stalls = telemetry.metrics.Counter("flow_network.no_progress");
-    if (stalls > 0.0) {
-      fprintf(stderr, "warning: flow_network.no_progress = %.0f (water-filling stalls)\n",
-              stalls);
-    }
+  SurveyBreakdown b;
+  ExitCode rc = driver.RunCohort(run, &b, flags.json_path.empty() ? nullptr : &per_site);
+  if (rc == kExitJournal) {
+    return rc;
   }
-  if (!options.trace_path.empty()) {
-    WriteFile(options.trace_path, ExportTraceJson(telemetry.trace));
+  if (rc == kExitOk) {
+    PrintSurveyBreakdownLine(b);
   }
-  if (!options.metrics_path.empty()) {
-    WriteFile(options.metrics_path, ExportMetricsCsv(telemetry.metrics));
-  }
+  rc = driver.Finish();
+  const SurveyJournal* journal = driver.Journal();
   if (journal != nullptr) {
-    journal->Sync();
-    printf("journal: %zu site(s) replayed, %zu executed\n",
-           journal->resumed_sites.load(), journal->executed_sites.load());
-    if (journal->interrupted.load()) {
-      fprintf(stderr, "interrupted: resume with --journal=%s --resume\n",
-              journal->Path().c_str());
-      return kExitInterrupted;
+    printf("journal: %zu site(s) replayed, %zu executed\n", journal->resumed_sites.load(),
+           journal->executed_sites.load());
+  }
+  if (rc == kExitInterrupted || flags.json_path.empty()) {
+    return rc;
+  }
+  // Quarantine records in a resumed journal surface in this run's report
+  // too, in global index order: the same view --merge would build.
+  std::vector<JournalQuarantineRecord> quarantined;
+  for (size_t i = 0; journal != nullptr && i < run.servers; ++i) {
+    if (const JournalQuarantineRecord* q = journal->Quarantined(i)) {
+      quarantined.push_back(*q);
     }
   }
-  if (want_report) {
-    // Quarantine records in a resumed journal surface in this run's report
-    // too, in global index order — the same view --merge would build.
-    std::vector<JournalQuarantineRecord> quarantined;
-    if (journal != nullptr) {
-      for (const JournalQuarantineRecord& q : journal->Quarantines()) {
-        if (q.cohort_ordinal == journal->CurrentOrdinal()) {
-          quarantined.push_back(q);
-        }
-      }
-      std::sort(quarantined.begin(), quarantined.end(),
-                [](const JournalQuarantineRecord& a, const JournalQuarantineRecord& b2) {
-                  return a.site_index < b2.site_index;
-                });
-    }
-    SurveyReportInput report;
-    report.cohort_name = std::string(CohortName(*cohort));
-    report.stage = static_cast<int>(stage);
-    report.servers = options.survey;
-    report.max_crowd = options.max_crowd;
-    report.seed = options.seed;
-    report.legacy_seeds = options.legacy_seeds;
-    report.breakdown = b;
-    report.per_site = &per_site;
-    report.quarantined = &quarantined;
-    WriteFile(options.json_path, BuildSurveyReportJson(report));
+  SurveyReportInput report;
+  report.cohort_name = std::string(CohortName(run.cohort));
+  report.stage = static_cast<int>(run.stage);
+  report.servers = run.servers;
+  report.max_crowd = run.max_crowd;
+  report.seed = run.seed;
+  report.legacy_seeds = flags.legacy_seeds;
+  report.breakdown = b;
+  report.per_site = &per_site;
+  report.quarantined = &quarantined;
+  if (!WriteOutputFile(flags.json_path, BuildSurveyReportJson(report))) {
+    return kExitAborted;
   }
-  return kExitOk;
+  return rc;
 }
 
 // Folds the shard journals at |paths| back into the single-process outputs
 // (report JSON, merged trace/metrics). The report goes through the same
 // builder as an unsharded --survey --json run, so the two are comparable
 // byte for byte. Shared by --merge and the --supervise auto-merge.
-int MergeAndWrite(const Options& options, const std::vector<std::string>& paths) {
+int MergeAndWrite(const SurveyFlags& flags, const std::vector<std::string>& paths) {
   ShardMergeResult merged;
   std::string error;
   if (!MergeShardJournals(paths, &merged, &error)) {
@@ -607,7 +445,7 @@ int MergeAndWrite(const Options& options, const std::vector<std::string>& paths)
              q.signature.c_str());
     }
   }
-  if (!options.json_path.empty()) {
+  if (!flags.json_path.empty()) {
     if (merged.cohorts.size() != 1) {
       fprintf(stderr, "--json merge report requires single-cohort journals (these hold %zu)\n",
               merged.cohorts.size());
@@ -624,45 +462,23 @@ int MergeAndWrite(const Options& options, const std::vector<std::string>& paths)
     report.breakdown = merged.breakdowns[0];
     report.per_site = &merged.per_site[0];
     report.quarantined = &merged.quarantined[0];
-    if (!WriteFile(options.json_path, BuildSurveyReportJson(report))) {
+    if (!WriteOutputFile(flags.json_path, BuildSurveyReportJson(report))) {
       return kExitAborted;
     }
   }
-  if (!options.trace_path.empty() &&
-      !WriteFile(options.trace_path, ExportTraceJson(merged.trace))) {
+  if (!flags.trace_path.empty() &&
+      !WriteOutputFile(flags.trace_path, ExportTraceJson(merged.trace))) {
     return kExitAborted;
   }
-  if (!options.metrics_path.empty() &&
-      !WriteFile(options.metrics_path, ExportMetricsCsv(merged.metrics))) {
+  if (!flags.metrics_path.empty() &&
+      !WriteOutputFile(flags.metrics_path, ExportMetricsCsv(merged.metrics))) {
     return kExitAborted;
   }
   return kExitOk;
 }
 
-int RunMerge(const Options& options) { return MergeAndWrite(options, options.merge_paths); }
-
-const char* StageFlagName(StageKind kind) {
-  switch (kind) {
-    case StageKind::kBase:
-      return "base";
-    case StageKind::kSmallQuery:
-      return "query";
-    case StageKind::kLargeObject:
-      return "large";
-  }
-  return "base";
-}
-
-// The path workers are exec'd from: this very binary, so supervisor and
-// worker can never skew versions. argv[0] is the fallback off-proc.
-std::string SelfExePath(const std::string& fallback) {
-  char buf[4096];
-  ssize_t n = readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n <= 0) {
-    return fallback;
-  }
-  buf[n] = '\0';
-  return buf;
+int RunMerge(const Options& options) {
+  return MergeAndWrite(options.flags, options.merge_paths);
 }
 
 // --supervise: run the whole sharded survey unattended (DESIGN.md §14).
@@ -675,10 +491,11 @@ int RunSupervise(const Options& options) {
   if (!cohort.has_value()) {
     return kExitUsage;
   }
+  const SurveyFlags& flags = options.flags;
   const std::string exe = SelfExePath(options.argv0);
-  const size_t shards = options.shards;
+  const size_t shards = flags.shards;
   // Each worker gets an equal slice of the machine unless --jobs pins it.
-  size_t worker_jobs = options.jobs;
+  size_t worker_jobs = flags.jobs;
   if (worker_jobs == 0) {
     worker_jobs = std::max<size_t>(1, ResolveJobs(0) / shards);
   }
@@ -686,7 +503,7 @@ int RunSupervise(const Options& options) {
   std::vector<std::string> stats_paths;
   std::vector<std::string> log_paths;
   for (size_t j = 0; j < shards; ++j) {
-    journal_paths.push_back(options.journal_path + ".shard" + std::to_string(j));
+    journal_paths.push_back(flags.journal_path + ".shard" + std::to_string(j));
     stats_paths.push_back(journal_paths.back() + ".stats");
     log_paths.push_back(journal_paths.back() + ".log");
   }
@@ -694,7 +511,7 @@ int RunSupervise(const Options& options) {
   // supervisor tell "slow site" from "wedged worker", so the cadence must
   // beat the hang deadline comfortably.
   const double worker_stats_interval =
-      std::min(options.stats_interval, options.hang_timeout / 4.0);
+      std::min(flags.stats_interval, options.hang_timeout / 4.0);
 
   SupervisorOptions sup;
   sup.shards = shards;
@@ -704,7 +521,7 @@ int RunSupervise(const Options& options) {
   sup.hang_timeout = options.hang_timeout;
   sup.quarantine_after = options.quarantine_after;
   sup.seed = options.seed;
-  sup.command = [&](size_t shard) {
+  sup.command = [&](size_t shard, bool sequential) {
     std::vector<std::string> argv = {exe};
     if (!options.cohort.empty()) {
       argv.push_back("--cohort=" + options.cohort);
@@ -712,18 +529,12 @@ int RunSupervise(const Options& options) {
     argv.push_back("--survey=" + std::to_string(options.survey));
     argv.push_back("--max-crowd=" + std::to_string(options.max_crowd));
     argv.push_back("--seed=" + std::to_string(options.seed));
-    std::string stages = "--stages=";
-    for (size_t i = 0; i < options.stages.size(); ++i) {
-      if (i > 0) {
-        stages += ',';
-      }
-      stages += StageFlagName(options.stages[i]);
-    }
-    argv.push_back(stages);
-    if (options.legacy_seeds) {
+    argv.push_back(std::string("--stages=") +
+                   kStageFlagNames[static_cast<int>(SurveyStage(options))]);
+    if (flags.legacy_seeds) {
       argv.push_back("--legacy-seeds");
     }
-    argv.push_back("--jobs=" + std::to_string(worker_jobs));
+    argv.push_back("--jobs=" + std::to_string(sequential ? 1 : worker_jobs));
     argv.push_back("--shards=" + std::to_string(shards));
     argv.push_back("--shard-index=" + std::to_string(shard));
     argv.push_back("--journal=" + journal_paths[shard]);
@@ -736,30 +547,28 @@ int RunSupervise(const Options& options) {
     argv.push_back(interval);
     // Trace/metrics requests make workers journal their telemetry so the
     // merge can export it; the workers' own export files are scratch.
-    if (!options.trace_path.empty()) {
+    if (!flags.trace_path.empty()) {
       argv.push_back("--trace=" + journal_paths[shard] + ".trace.json");
     }
-    if (!options.metrics_path.empty()) {
+    if (!flags.metrics_path.empty()) {
       argv.push_back("--metrics=" + journal_paths[shard] + ".metrics.csv");
     }
     return argv;
   };
   std::unique_ptr<StatsStream> stats;
-  if (!options.stats_stream_path.empty()) {
-    std::string error;
-    stats = StatsStream::Open(options.stats_stream_path, &error);
+  if (!flags.stats_stream_path.empty()) {
+    stats = OpenStatsStream(flags.stats_stream_path);
     if (stats == nullptr) {
-      fprintf(stderr, "%s\n", error.c_str());
       return kExitUsage;
     }
     sup.stats = stats.get();
-    sup.stats_interval = options.stats_interval;
+    sup.stats_interval = flags.stats_interval;
   }
 
   printf("supervise: shards=%zu jobs/worker=%zu hang-timeout=%.0fs quarantine-after=%zu "
          "journals=%s.shard<j>\n",
          shards, worker_jobs, options.hang_timeout, options.quarantine_after,
-         options.journal_path.c_str());
+         flags.journal_path.c_str());
   SurveySupervisor supervisor(std::move(sup));
   SupervisorResult result = supervisor.Run();
   if (result.interrupted) {
@@ -780,7 +589,7 @@ int RunSupervise(const Options& options) {
   printf("supervise: all %zu shard(s) complete (%zu restart(s), %zu hang kill(s), "
          "%zu quarantine(s))\n",
          shards, result.restarts, result.hang_kills, result.quarantines.size());
-  return MergeAndWrite(options, journal_paths);
+  return MergeAndWrite(flags, journal_paths);
 }
 
 int Run(const Options& options) {
@@ -795,8 +604,10 @@ int Run(const Options& options) {
   }
   auto site = ResolveSite(options);
   if (!site.has_value()) {
-    return 2;
+    return kExitUsage;
   }
+  const SurveyFlags& flags = options.flags;
+  const std::vector<StageKind> stages = ExperimentStages(options);
 
   ExperimentConfig config;
   config.threshold = Millis(options.theta_ms);
@@ -806,10 +617,10 @@ int Run(const Options& options) {
   config.requests_per_client = options.mr;
   config.stagger_spacing = Millis(options.stagger_ms);
 
-  const bool want_trace = !options.trace_path.empty();
-  const bool want_metrics = !options.metrics_path.empty();
+  const bool want_trace = !flags.trace_path.empty();
+  const bool want_metrics = !flags.metrics_path.empty();
   std::unique_ptr<SurveyJournal> journal;
-  if (!options.journal_path.empty()) {
+  if (!flags.journal_path.empty()) {
     char fingerprint[256];
     snprintf(fingerprint, sizeof(fingerprint),
              "profile=%s;cohort=%s;theta=%g;step=%zu;max=%zu;fleet=%zu;mr=%zu;stagger=%g;"
@@ -817,9 +628,9 @@ int Run(const Options& options) {
              options.profile.c_str(), options.cohort.c_str(), options.theta_ms, options.step,
              options.max_crowd, options.fleet, options.mr, options.stagger_ms,
              options.background_rps, static_cast<unsigned long long>(options.seed),
-             StagesToken(options.stages).c_str(), options.crawl ? 1 : 0, want_trace ? 1 : 0,
+             StagesToken(stages).c_str(), options.crawl ? 1 : 0, want_trace ? 1 : 0,
              want_metrics ? 1 : 0);
-    journal = OpenJournal(options, "mfc_profile:single", fingerprint);
+    journal = OpenJournal(flags.journal_path, "mfc_profile:single", fingerprint, flags.resume);
     if (journal == nullptr) {
       return kExitJournal;
     }
@@ -881,12 +692,10 @@ int Run(const Options& options) {
     // results with it attached are identical to results without.
     std::unique_ptr<StatsStream> stats;
     std::unique_ptr<SimStatsSampler> sampler;
-    if (!options.stats_stream_path.empty()) {
-      std::string error;
-      stats = StatsStream::Open(options.stats_stream_path, &error);
+    if (!flags.stats_stream_path.empty()) {
+      stats = OpenStatsStream(flags.stats_stream_path);
       if (stats == nullptr) {
-        fprintf(stderr, "%s\n", error.c_str());
-        return 2;
+        return kExitUsage;
       }
       auto probe = [&deployment] {
         SimHealthSnapshot s;
@@ -898,12 +707,12 @@ int Run(const Options& options) {
         return s;
       };
       sampler = std::make_unique<SimStatsSampler>(deployment.Loop(), *stats,
-                                                  options.stats_interval, probe,
+                                                  flags.stats_interval, probe,
                                                   want_metrics ? &metrics : nullptr);
       sampler->Start();
     }
 
-    result = coordinator.Run(objects, options.stages);
+    result = coordinator.Run(objects, stages);
     if (sampler != nullptr) {
       sampler->Stop();  // cancels the pending tick, emits the final snapshot
     }
@@ -912,7 +721,7 @@ int Run(const Options& options) {
     if (journal != nullptr) {
       JournalSiteRecord record;
       record.seed = options.seed;
-      record.stage = options.stages.empty() ? StageKind::kBase : options.stages[0];
+      record.stage = stages[0];
       record.result = result;
       if (want_trace) {
         record.has_trace = true;
@@ -928,7 +737,7 @@ int Run(const Options& options) {
 
   if (result.aborted) {
     printf("ABORTED: %s\n", result.abort_reason.c_str());
-    return 1;
+    return kExitAborted;
   }
   for (const StageResult& stage : result.stages) {
     printf("[%s]\n", std::string(StageName(stage.kind)).c_str());
@@ -947,19 +756,20 @@ int Run(const Options& options) {
   }
   printf("%s", AnalyzeExperiment(result, config).ToText().c_str());
 
+  bool written = true;
   if (!options.csv_path.empty()) {
-    WriteFile(options.csv_path, ExportEpochsCsv(result));
+    written &= WriteOutputFile(options.csv_path, ExportEpochsCsv(result));
   }
-  if (!options.json_path.empty()) {
-    WriteFile(options.json_path, ExportJson(result));
+  if (!flags.json_path.empty()) {
+    written &= WriteOutputFile(flags.json_path, ExportJson(result));
   }
-  if (!options.trace_path.empty()) {
-    WriteFile(options.trace_path, ExportTraceJson(tracer));
+  if (want_trace) {
+    written &= WriteOutputFile(flags.trace_path, ExportTraceJson(tracer));
   }
-  if (!options.metrics_path.empty()) {
-    WriteFile(options.metrics_path, ExportMetricsCsv(metrics));
+  if (want_metrics) {
+    written &= WriteOutputFile(flags.metrics_path, ExportMetricsCsv(metrics));
   }
-  return 0;
+  return written ? kExitOk : kExitAborted;
 }
 
 }  // namespace
@@ -969,7 +779,7 @@ int main(int argc, char** argv) {
   auto options = mfc::ParseArgs(argc, argv);
   if (!options.has_value()) {
     mfc::Usage();
-    return 2;  // kExitUsage
+    return mfc::kExitUsage;
   }
   return mfc::Run(*options);
 }
