@@ -1,8 +1,8 @@
 // Perf microbench for the fluid-flow network allocator: high-churn
 // concurrent downloads over shared and component-disjoint bottlenecks, the
 // slow-start doubling storm, and abort churn. Emits BENCH_flow_network.json
-// (events/sec + allocator recompute counters) so the incremental-allocator
-// speedup stays auditable across PRs.
+// (events/sec + allocator recompute and fast-path counters) so the
+// incremental-allocator speedup stays auditable across PRs.
 //
 // The headline scenario (churn_components) is many disjoint bottleneck
 // groups — the shape a multi-site survey shard produces — where incremental
@@ -126,6 +126,8 @@ mfc::PerfScenario Measure(const char* name, size_t repeats, const ChurnSpec& spe
   s.extras.emplace_back("flows_touched", static_cast<double>(r.stats.flows_touched));
   s.extras.emplace_back("links_touched", static_cast<double>(r.stats.links_touched));
   s.extras.emplace_back("no_progress", static_cast<double>(r.stats.no_progress));
+  s.extras.emplace_back("capped_passes", static_cast<double>(r.stats.capped_passes));
+  s.extras.emplace_back("spanning_collects", static_cast<double>(r.stats.spanning_collects));
   return s;
 }
 

@@ -13,6 +13,12 @@ namespace {
 constexpr double kByteEpsilon = 1e-6;   // flows with fewer remaining bytes are done
 constexpr double kRateEpsilon = 1e-9;
 constexpr double kInfinity = std::numeric_limits<double>::infinity();
+// Cap-only rule (see ReallocateFor): a pass skips water-filling when every
+// dirty link's member caps sum to at most capacity * (1 - kCapOnlyDelta) and
+// the link has at most kCapOnlyMaxMembers members — the range in which the
+// margin provably covers the floating-point residual error.
+constexpr double kCapOnlyDelta = 1e-9;
+constexpr size_t kCapOnlyMaxMembers = size_t{1} << 20;
 
 }  // namespace
 
@@ -265,6 +271,60 @@ void FlowNetwork::CollectComponent(const std::vector<LinkId>& seed_links, uint32
   std::sort(dirty_links_.begin(), dirty_links_.end());
 }
 
+bool FlowNetwork::CollectSpanningComponent(const std::vector<LinkId>& seed_links,
+                                           uint32_t seed_flow) {
+  if (!dirty_flows_all_live_) {
+    return false;
+  }
+  // A link whose member count equals live_ carries every live flow (paths
+  // never repeat a link), so the BFS would reach every live flow and every
+  // link on their paths, plus the seeds themselves.
+  bool spanning = false;
+  for (LinkId l : seed_links) {
+    if (links_[l].members.size() == live_) {
+      spanning = true;
+      break;
+    }
+  }
+  if (!spanning) {
+    return false;
+  }
+  // Exactly one membership change separates this pass from the last one: a
+  // start (the seed flow, whose seq is the largest) or releases (slots now
+  // inactive; none is reacquired before this pass). Filtering the last
+  // seq-ordered set and appending the new flow keeps seq order.
+  size_t kept = 0;
+  for (uint32_t slot : dirty_flows_) {
+    if (flows_[slot].active) {
+      dirty_flows_[kept++] = slot;
+    }
+  }
+  dirty_flows_.resize(kept);
+  if (seed_flow != UINT32_MAX) {
+    dirty_flows_.push_back(seed_flow);
+  }
+  assert(dirty_flows_.size() == live_);
+  dirty_links_.clear();
+  ++visit_epoch_;
+  auto visit = [this](LinkId l) {
+    if (links_[l].visit != visit_epoch_) {
+      links_[l].visit = visit_epoch_;
+      dirty_links_.push_back(l);
+    }
+  };
+  for (LinkId l : seed_links) {
+    visit(l);
+  }
+  for (uint32_t slot : dirty_flows_) {
+    for (LinkId l : flows_[slot].path) {
+      visit(l);
+    }
+  }
+  std::sort(dirty_links_.begin(), dirty_links_.end());
+  stats_.spanning_collects++;
+  return true;
+}
+
 void FlowNetwork::RefreshLinkAggregates() {
   for (LinkId li : dirty_links_) {
     Link& link = links_[li];
@@ -299,8 +359,21 @@ void FlowNetwork::UpdateCompletionKey(uint32_t slot) {
 
 void FlowNetwork::ReallocateFor(const std::vector<LinkId>& seed_links, uint32_t seed_flow) {
   SimTime now = loop_.Now();
-  if (!component_cache_full_ || force_full_) {
+  if (force_full_) {
     CollectComponent(seed_links, seed_flow);
+  } else if (!component_cache_full_) {
+    if (CollectSpanningComponent(seed_links, seed_flow)) {
+#ifndef NDEBUG
+      // The shortcut must yield exactly the BFS's sets and orders.
+      std::vector<uint32_t> flows = dirty_flows_;
+      std::vector<LinkId> links = dirty_links_;
+      CollectComponent(seed_links, seed_flow);
+      assert(flows == dirty_flows_ && links == dirty_links_ &&
+             "spanning-link component differs from the BFS");
+#endif
+    } else {
+      CollectComponent(seed_links, seed_flow);
+    }
   }
   // else: the previous pass covered every live flow and only slow-start
   // doublings happened since (starts/aborts/completions/new links all clear
@@ -320,6 +393,10 @@ void FlowNetwork::ReallocateFor(const std::vector<LinkId>& seed_links, uint32_t 
     link.residual = link.capacity;
     link.unfixed = 0;
   }
+  // Advance the component, gathering the cap-only test's per-link cap sums
+  // until the first uncapped flow or over-full link rules it out, so passes
+  // the rule cannot settle pay almost nothing for the test.
+  bool cap_only = !force_full_ && !dirty_flows_.empty();
   for (uint32_t slot : dirty_flows_) {
     Flow& flow = flows_[slot];
     AdvanceFlow(flow, now);
@@ -328,8 +405,91 @@ void FlowNetwork::ReallocateFor(const std::vector<LinkId>& seed_links, uint32_t 
     for (LinkId l : flow.path) {
       links_[l].unfixed++;
     }
+    if (!cap_only) {
+      continue;
+    }
+    if (flow.rate_cap == kInfinity) {
+      cap_only = false;
+      continue;
+    }
+    for (LinkId l : flow.path) {
+      Link& link = links_[l];
+      if (link.unfixed == 1) {  // first dirty flow on this link
+        link.cap_sum = 0.0;
+        if (link.members.size() > kCapOnlyMaxMembers) {
+          cap_only = false;
+        }
+      }
+      link.cap_sum += flow.rate_cap;
+      if (link.cap_sum > link.capacity * (1.0 - kCapOnlyDelta)) {
+        cap_only = false;
+      }
+    }
   }
 
+  // Cap-only rule. With every cap finite and each dirty link's caps summing
+  // to S <= C(1 - delta), water-filling only ever runs cap rounds: after
+  // fixing any set F at their caps, a link's residual is C - sum_F(cap) >=
+  // sum_U(cap) + delta*C over its k unfixed flows U, so its share
+  // residual/k is at least the mean unfixed cap plus delta*C/k, which is at
+  // least the smallest unfixed cap anywhere. Each round therefore fixes the
+  // smallest-cap cohort at its own caps, whatever the order, and every rate
+  // ends at its cap. Floating point: the k-term sum check and the running
+  // residual each drift by at most ~n*u*C (u = 2^-53, n members) and the
+  // division by ~u*C, so the argument holds while delta > 3*n*u, i.e. for
+  // up to ~3M members per link (capped at kCapOnlyMaxMembers). On the 12.5
+  // MB/s survey server link delta*C is 0.0125 B/s against a drift of ~1e-7
+  // B/s for 36 flows. Debug builds re-run water-filling to confirm.
+  if (cap_only) {
+    stats_.capped_passes++;
+    for (uint32_t slot : dirty_flows_) {
+      Flow& flow = flows_[slot];
+      flow.fixed = true;
+      flow.rate = std::max(flow.rate_cap, 0.0);
+    }
+#ifndef NDEBUG
+    for (uint32_t slot : dirty_flows_) {
+      flows_[slot].fixed = false;
+      flows_[slot].rate = 0.0;
+    }
+    WaterFill();
+    for (uint32_t slot : dirty_flows_) {
+      assert(flows_[slot].rate == std::max(flows_[slot].rate_cap, 0.0) &&
+             "cap-only pass differs from water-filling");
+    }
+#endif
+  } else {
+    WaterFill();
+  }
+
+  RefreshLinkAggregates();
+  if (dirty_flows_.size() == live_) {
+    // Full pass: every live flow's keys changed, so rebuild both completion
+    // heaps wholesale (O(n) heapify over flat scratch) instead of 2n sifts.
+    finish_scratch_.clear();
+    early_scratch_.clear();
+    for (uint32_t slot : dirty_flows_) {
+      const Flow& flow = flows_[slot];
+      double finish;
+      double early;
+      CompletionKeys(flow, &finish, &early);
+      finish_scratch_.push_back({finish, flow.seq, slot});
+      early_scratch_.push_back({early, flow.seq, slot});
+    }
+    finish_heap_.Assign(finish_scratch_);
+    early_heap_.Assign(early_scratch_);
+  } else {
+    for (uint32_t slot : dirty_flows_) {
+      UpdateCompletionKey(slot);
+    }
+  }
+  // A pass that covered every live flow leaves dirty sets a doubling-only
+  // event can reuse verbatim; any membership change clears the flag.
+  component_cache_full_ = !dirty_flows_.empty() && dirty_flows_.size() == live_;
+  dirty_flows_all_live_ = dirty_flows_.size() == live_;
+}
+
+void FlowNetwork::WaterFill() {
   // Water-filling max-min allocation with per-flow rate caps, restricted to
   // the dirty component (identical arithmetic to the historical full pass:
   // every link a dirty flow crosses is itself dirty, by construction).
@@ -498,31 +658,6 @@ void FlowNetwork::ReallocateFor(const std::vector<LinkId>& seed_links, uint32_t 
       }
     }
   }
-
-  RefreshLinkAggregates();
-  if (dirty_flows_.size() == live_) {
-    // Full pass: every live flow's keys changed, so rebuild both completion
-    // heaps wholesale (O(n) heapify over flat scratch) instead of 2n sifts.
-    finish_scratch_.clear();
-    early_scratch_.clear();
-    for (uint32_t slot : dirty_flows_) {
-      const Flow& flow = flows_[slot];
-      double finish;
-      double early;
-      CompletionKeys(flow, &finish, &early);
-      finish_scratch_.push_back({finish, flow.seq, slot});
-      early_scratch_.push_back({early, flow.seq, slot});
-    }
-    finish_heap_.Assign(finish_scratch_);
-    early_heap_.Assign(early_scratch_);
-  } else {
-    for (uint32_t slot : dirty_flows_) {
-      UpdateCompletionKey(slot);
-    }
-  }
-  // A pass that covered every live flow leaves dirty sets a doubling-only
-  // event can reuse verbatim; any membership change clears the flag.
-  component_cache_full_ = !dirty_flows_.empty() && dirty_flows_.size() == live_;
 }
 
 void FlowNetwork::ScheduleNext() {
@@ -589,8 +724,10 @@ void FlowNetwork::OnTimer() {
   }
 
   // Collect completions first so callbacks observe a consistent network.
+  // The callbacks run from a local that owns done_scratch_'s buffer, so a
+  // callback that starts or aborts flows never sees the list it runs from.
   std::vector<std::function<void()>> done;
-  done.reserve(due.size());
+  done.swap(done_scratch_);
   seed_scratch_.clear();
   for (uint32_t slot : due) {
     Flow& flow = flows_[slot];
@@ -636,6 +773,8 @@ void FlowNetwork::OnTimer() {
       cb();
     }
   }
+  done.clear();
+  done_scratch_.swap(done);
 }
 
 }  // namespace mfc

@@ -18,7 +18,9 @@
 // flows is recomputed (see DESIGN.md §10 for the dirty-set rules), flows
 // advance lazily when their component is touched, and indexed min-heaps
 // (next completion, next cwnd doubling) replace the per-event full-flow
-// scans.
+// scans. Two exact shortcuts cover the slow-start regime of survey crowds:
+// a pass where every flow fits under its cwnd/rtt cap skips water-filling,
+// and a component spanned by one link skips the BFS.
 #ifndef MFC_SRC_NET_FLOW_NETWORK_H_
 #define MFC_SRC_NET_FLOW_NETWORK_H_
 
@@ -54,6 +56,10 @@ struct FlowNetworkStats {
   uint64_t links_touched = 0;  // links visited, summed over passes
   uint64_t no_progress = 0;    // water-filling stalls (expected 0; see
                                // the flow_network.no_progress metric)
+  uint64_t capped_passes = 0;  // passes settled by the cap-only rule (every
+                               // flow at its cwnd/rtt cap; no water-filling)
+  uint64_t spanning_collects = 0;  // component collections that took the
+                                   // spanning-link shortcut instead of a BFS
 };
 
 class FlowNetwork {
@@ -121,6 +127,7 @@ class FlowNetwork {
     // Scratch for the water-filling pass.
     double residual = 0.0;
     size_t unfixed = 0;
+    double cap_sum = 0.0;  // sum of member rate caps (cap-only test)
     uint64_t visit = 0;  // dirty-set BFS epoch mark
   };
 
@@ -166,12 +173,21 @@ class FlowNetwork {
 
   // Recomputes the allocation for the connected component(s) reachable from
   // |seed_links| (and |seed_flow| when valid — covers link-less paths),
-  // advancing member flows to Now() and refreshing completion keys.
-  // Water-filling itself is unchanged from the historical full pass,
-  // restricted to the component.
+  // advancing member flows to Now() and refreshing completion keys. A pass
+  // where every flow fits under its cwnd/rtt cap skips water-filling (the
+  // cap-only rule, DESIGN.md §10); otherwise water-filling is unchanged from
+  // the historical full pass, restricted to the component.
   void ReallocateFor(const std::vector<LinkId>& seed_links, uint32_t seed_flow = UINT32_MAX);
   // Dirty-set BFS from the seeds into dirty_flows_/dirty_links_.
   void CollectComponent(const std::vector<LinkId>& seed_links, uint32_t seed_flow);
+  // The BFS result without the BFS, when a seed link carries every live flow
+  // and the previous pass's dirty_flows_ held every live flow then. Returns
+  // false (sets untouched) when the shortcut does not apply.
+  bool CollectSpanningComponent(const std::vector<LinkId>& seed_links, uint32_t seed_flow);
+  // Max-min water-filling over the dirty component; expects every dirty
+  // flow unfixed at rate 0 and every dirty link at full residual with its
+  // unfixed count.
+  void WaterFill();
   // Recomputes agg_rate for each dirty link from its members.
   void RefreshLinkAggregates();
   // Predicted exact finish instant and earliest byte-epsilon completion
@@ -208,6 +224,8 @@ class FlowNetwork {
   std::vector<LinkId> dirty_links_;
   std::vector<LinkId> seed_scratch_;
   std::vector<uint32_t> due_scratch_;  // OnTimer's due-flow list
+  // OnTimer's completion callbacks; swapped into a local while they run.
+  std::vector<std::function<void()>> done_scratch_;
   std::vector<uint64_t> order_scratch_;  // packed (seq, slot) sort keys
   // Water-filling pass scratch: flows ascending by (rate_cap, seq, slot) so
   // cap rounds advance a cursor instead of rescanning, and a min-heap of
@@ -227,6 +245,12 @@ class FlowNetwork {
   // BFS would re-derive them exactly. Doubling-only events then skip
   // CollectComponent altogether.
   bool component_cache_full_ = false;
+  // True while dirty_flows_ holds every flow that was live when the last
+  // pass ran. Every membership change runs a pass straight away, so the
+  // current live set is then dirty_flows_ minus released slots plus the
+  // newly started seed flow (CollectSpanningComponent). It starts true: no
+  // flow is live and dirty_flows_ is empty.
+  bool dirty_flows_all_live_ = true;
 };
 
 }  // namespace mfc

@@ -8,7 +8,9 @@ Usage:
 Checks structure (required keys, types), metadata sanity (non-empty commit,
 jobs >= 1), and internal consistency: p50 <= p99, items > 0, items_per_sec
 matching items / wall_seconds_p50, headline pointing at the first scenario,
-and every extra counter being a non-negative finite number. Exits non-zero
+every extra counter being a non-negative finite number, and per-pass
+allocator counters (full_reallocs, capped_passes, spanning_collects) never
+exceeding the pass count 'reallocs' they are a subset of. Exits non-zero
 with a per-file report on any violation, so ctest can gate on it.
 """
 
@@ -20,6 +22,8 @@ import os
 import sys
 
 UNITS = {"events", "sites", "ops"}
+# FlowNetworkStats counters that each count a subset of allocation passes.
+PASS_SUBSET_COUNTERS = ("full_reallocs", "capped_passes", "spanning_collects")
 
 
 def fail(errors, path, msg):
@@ -62,6 +66,12 @@ def check_scenario(errors, path, s, index):
             fail(errors, path, f"{where} field '{key}' must be numeric, got {value!r}")
         elif not math.isfinite(value) or value < 0:
             fail(errors, path, f"{where} field '{key}' must be finite and >= 0, got {value!r}")
+    passes = s.get("reallocs")
+    for key in PASS_SUBSET_COUNTERS:
+        value = s.get(key)
+        if (isinstance(value, (int, float)) and isinstance(passes, (int, float))
+                and value > passes):
+            fail(errors, path, f"{where} {key} ({value}) exceeds reallocs ({passes})")
 
 
 def check_record(errors, path, record):
