@@ -1,14 +1,17 @@
-// Perf microbench for the EventLoop slot-vector hot path (PR 1 rework):
-// schedule/run churn, O(1) cancellation, and same-instant FIFO storms.
-// Emits BENCH_event_loop.json so later PRs can see scheduler regressions.
+// Perf microbench for the EventLoop slot-vector hot path: schedule/run
+// churn, O(1) cancellation, and same-instant FIFO storms, plus the
+// processor-sharing CPU queue that runs on it. Emits BENCH_event_loop.json
+// so later changes can see scheduler regressions.
 //
 //   perf_event_loop [--repeats=N] [--scale=X] [--out=PATH]
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "bench/perf_util.h"
+#include "src/server/resources.h"
 #include "src/sim/event_loop.h"
 
 namespace {
@@ -80,6 +83,22 @@ uint64_t RunSameInstant(size_t n) {
   return loop.ExecutedCount();
 }
 
+// Processor-sharing churn: bursts of jobs with mixed demands on a 4-core PS
+// CPU, the server-resource layer's shape (every arrival and completion
+// re-divides the cores among the active jobs). items = jobs completed.
+uint64_t RunPsChurn(size_t rounds, size_t jobs) {
+  uint64_t completed = 0;
+  for (size_t round = 0; round < rounds; ++round) {
+    mfc::EventLoop loop;
+    mfc::CpuResource cpu(loop, 4);
+    for (size_t i = 0; i < jobs; ++i) {
+      cpu.Submit(1e-3 * static_cast<double>(1 + i % 7), [&completed] { ++completed; });
+    }
+    loop.RunUntilIdle();
+  }
+  return completed;
+}
+
 template <typename Fn>
 mfc::PerfScenario Measure(const char* name, size_t repeats, Fn fn) {
   mfc::PerfScenario s;
@@ -111,5 +130,9 @@ int main(int argc, char** argv) {
                      [&] { return RunCancelStorm(scaled(20000)); }));
   report.Add(Measure("same_instant", args.repeats,
                      [&] { return RunSameInstant(scaled(10000)); }));
+  mfc::PerfScenario ps = Measure("ps_churn", args.repeats,
+                                 [&] { return RunPsChurn(scaled(2000), 128); });
+  ps.items_unit = "ops";
+  report.Add(std::move(ps));
   return report.Finish(args.out_path);
 }

@@ -1,17 +1,22 @@
 // Perf harness for the session/transport control plane (DESIGN.md §13):
 // reliable control-message throughput over the in-process MemoryHub, an
 // agents-per-coordinator soak, and retransmit behavior at 5%/20% injected
-// loss. All scenarios run under virtual time (EventLoop + SimTimerSource),
-// so the work is deterministic — wall time measures the session layer's CPU
+// loss, then HTTP request/response parsing (the fetch path's parser). The
+// session scenarios run under virtual time (EventLoop + SimTimerSource), so
+// the work is deterministic — wall time measures the session layer's CPU
 // cost, not socket waits. Emits BENCH_rt.json.
 //
 //   perf_rt [--repeats=N] [--scale=X] [--out=PATH]
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "bench/perf_util.h"
+#include "src/http/message.h"
+#include "src/http/parser.h"
 #include "src/rt/fault_injector.h"
 #include "src/rt/session.h"
 #include "src/rt/transport.h"
@@ -106,7 +111,7 @@ uint64_t RunSoak(size_t agents) {
         [session, coord_addr](const mfc::ControlMessage& message,
                               const mfc::TransportAddress&, uint64_t) {
           if (const auto* ping = std::get_if<mfc::MsgPing>(&message)) {
-            session->SendReliable(mfc::MsgPong{ping->seq}, coord_addr);
+            session->SendReliable(mfc::MsgPong{ping->seq, {}}, coord_addr);
           }
         });
     agent_addrs.push_back(agent.transport->LocalAddress());
@@ -119,6 +124,42 @@ uint64_t RunSoak(size_t agents) {
   }
   loop.RunUntilIdle();  // ping + pong legs converge
   return coordinator_received;  // REGISTER + PONG per agent
+}
+
+// HTTP parsing, as the agent's fetches and the live server run it: a
+// request parsed in one feed, and an 8 KB response fed in 64-byte pieces.
+// items = messages parsed.
+uint64_t RunRequestParse(size_t n) {
+  mfc::HttpRequest req;
+  req.method = mfc::HttpMethod::kGet;
+  req.target = "/cgi/search.php?q=flash+crowds&page=3&mfc=42";
+  req.headers.Set("Host", "target.example.com");
+  req.headers.Set("User-Agent", "mfc-client/1.0");
+  req.headers.Set("Accept", "*/*");
+  std::string wire = req.Serialize();
+  uint64_t done = 0;
+  for (size_t i = 0; i < n; ++i) {
+    mfc::RequestParser parser;
+    parser.Feed(wire);
+    done += parser.Done() ? 1 : 0;
+  }
+  return done;
+}
+
+uint64_t RunResponseParseChunked(size_t n) {
+  std::string wire = mfc::HttpResponse::Make(mfc::HttpStatus::kOk, "text/html",
+                                             std::string(8192, 'x'))
+                         .Serialize();
+  constexpr size_t kChunk = 64;
+  uint64_t done = 0;
+  for (size_t i = 0; i < n; ++i) {
+    mfc::ResponseParser parser;
+    for (size_t pos = 0; pos < wire.size(); pos += kChunk) {
+      parser.Feed(std::string_view(wire).substr(pos, kChunk));
+    }
+    done += parser.Done() ? 1 : 0;
+  }
+  return done;
 }
 
 template <typename Fn>
@@ -174,5 +215,9 @@ int main(int argc, char** argv) {
                                                  static_cast<double>(lossy_messages));
     report.Add(std::move(s));
   }
+  report.Add(Measure("http_request_parse", args.repeats,
+                     [&] { return RunRequestParse(scaled(200000)); }));
+  report.Add(Measure("http_response_chunked", args.repeats,
+                     [&] { return RunResponseParseChunked(scaled(20000)); }));
   return report.Finish(args.out_path);
 }

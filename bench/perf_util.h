@@ -22,11 +22,10 @@
 
 #include "src/core/export.h"
 
-// Injected by bench/CMakeLists.txt at configure time; stale only until the
-// next cmake run, and recorded as provenance, not ground truth.
-#ifndef MFC_GIT_COMMIT
-#define MFC_GIT_COMMIT "unknown"
-#endif
+// MFC_GIT_COMMIT: the checkout's short HEAD, "-dirty" for a modified tree,
+// regenerated on every build by bench/git_commit.cmake. MFC_BENCH_FLAGS: the
+// build type (+sanitizer), set by bench/CMakeLists.txt at configure time.
+#include "mfc_git_commit.h"
 #ifndef MFC_BENCH_FLAGS
 #define MFC_BENCH_FLAGS "unknown"
 #endif

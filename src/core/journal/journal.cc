@@ -5,6 +5,8 @@
 #include <cstring>
 #include <utility>
 
+#include "src/telemetry/json_quote.h"
+
 namespace mfc {
 namespace {
 
@@ -614,23 +616,13 @@ bool DecodeCohortRecord(const JsonValue& body, JournalCohortRecord* out) {
       cohort > static_cast<uint64_t>(Cohort::kLongTail) || !GetU64(body, "stage", &stage) ||
       stage > 2 || !GetSize(body, "servers", &out->servers) ||
       !GetSize(body, "max_crowd", &out->max_crowd) || !GetU64(body, "seed", &out->seed) ||
-      !GetU64(body, "pid_base", &out->pid_base)) {
+      !GetU64(body, "pid_base", &out->pid_base) || !GetSize(body, "shards", &out->shards) ||
+      out->shards == 0 || !GetSize(body, "shard_index", &out->shard_index) ||
+      out->shard_index >= out->shards || !GetBool(body, "legacy_seeds", &out->legacy_seeds)) {
     return false;
   }
   out->cohort = static_cast<Cohort>(cohort);
   out->stage = static_cast<StageKind>(stage);
-  if (body.Find("shards") != nullptr) {
-    if (!GetSize(body, "shards", &out->shards) || out->shards == 0 ||
-        !GetSize(body, "shard_index", &out->shard_index) || out->shard_index >= out->shards ||
-        !GetBool(body, "legacy_seeds", &out->legacy_seeds)) {
-      return false;
-    }
-  } else {
-    // Pre-PR-8 record: unsharded, seed * 1000 + i era.
-    out->shards = 1;
-    out->shard_index = 0;
-    out->legacy_seeds = true;
-  }
   return true;
 }
 
@@ -780,6 +772,13 @@ void ScanJournalContents(const std::string& path, const std::string& contents,
       }
       scan->saw_header = true;
     } else if (type == "cohort") {
+      if (body.Find("shards") == nullptr) {
+        // A checksummed record from a writer that predates shard keys, not a
+        // torn write: dropping it as corruption would truncate the journal.
+        scan->hard_error = path + ": record " + std::to_string(record_index) +
+                           ": cohort record has no shard keys (unsupported journal format)";
+        return;
+      }
       JournalCohortRecord record;
       if (!DecodeCohortRecord(body, &record) || record.ordinal != scan->cohorts.size()) {
         scan->corrupt = "record " + std::to_string(record_index) + ": malformed cohort record";

@@ -68,9 +68,8 @@ struct JournalCohortRecord {
   uint64_t seed = 0;
   uint64_t pid_base = 0;  // merged-trace pid of this cohort's site 0
   // Shard identity (DESIGN.md §12): this journal holds global site indices
-  // i with i % shards == shard_index. Pre-PR-8 journals carry no shard keys
-  // and decode as an unsharded legacy-seed run (shards=1, legacy_seeds=true),
-  // so they resume only under --legacy-seeds — never silently reseeded.
+  // i with i % shards == shard_index. A cohort record without shard keys is
+  // a hard error that leaves the file untouched.
   size_t shards = 1;
   size_t shard_index = 0;
   bool legacy_seeds = false;

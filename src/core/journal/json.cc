@@ -325,38 +325,6 @@ bool ParseJson(std::string_view text, JsonValue* out, std::string* error) {
   return parser.ParseDocument(out);
 }
 
-void JsonAppendQuoted(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-}
-
 std::string EncodeExactDouble(double v) {
   uint64_t bits = 0;
   static_assert(sizeof(bits) == sizeof(v));

@@ -1,6 +1,7 @@
 // Minimal JSON support for the experiment journal (src/core/journal): a
-// strict recursive-descent parser into a value tree, writer helpers, an
-// exact (bit-pattern) double encoding, and the journal's record checksum.
+// strict recursive-descent parser into a value tree, an exact (bit-pattern)
+// double encoding, and the journal's record checksum. Strings are written
+// with JsonAppendQuoted (src/telemetry/json_quote.h).
 //
 // This is deliberately not a general JSON library — it implements exactly
 // what the journal's own records need: UTF-8 passthrough strings with the
@@ -45,9 +46,6 @@ struct JsonValue {
 // Parses exactly one JSON document (no trailing garbage). Returns false and
 // fills |error| on any syntax violation.
 bool ParseJson(std::string_view text, JsonValue* out, std::string* error);
-
-// Appends |s| as a quoted, escaped JSON string.
-void JsonAppendQuoted(std::string& out, std::string_view s);
 
 // Exact round-trip double encoding: "x" + 16 lowercase hex digits of the
 // IEEE-754 bit pattern.

@@ -5,6 +5,7 @@
 #include <map>
 
 #include "src/core/journal/json.h"
+#include "src/telemetry/json_quote.h"
 
 namespace mfc {
 namespace {

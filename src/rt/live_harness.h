@@ -8,9 +8,11 @@
 // retransmits until the agent's session ack, and every reply leg (PONG,
 // RTT/RTTFAIL, SAMPLE) is reliable in the opposite direction — so each leg
 // converges independently and this harness schedules no retransmits of its
-// own. Duplicate frames are suppressed by (conn, seq) before delivery; an
-// app-level (token, sample_id) dedup plus a per-token budget remain as the
-// compat path for legacy (bare-datagram) agents.
+// own. Duplicate frames are suppressed by (conn, seq) before delivery. The
+// session forgets a (conn, seq) after 60 s or 4096 newer frames, so a crowd
+// also dedups SAMPLEs by (token, sample_id) and caps each token at its
+// connection count: a copy that outlives the session's window is still
+// counted once.
 #ifndef MFC_SRC_RT_LIVE_HARNESS_H_
 #define MFC_SRC_RT_LIVE_HARNESS_H_
 
@@ -40,7 +42,7 @@ struct ControlPlaneStats {
   uint64_t rtt_retries = 0;        // RTT probes re-issued (new token) after RTTFAIL
   uint64_t rtt_failures = 0;       // explicit RTTFAIL replies received
   uint64_t rtt_fallbacks = 0;      // probes that exhausted retries -> 1 s substitute
-  uint64_t duplicate_samples = 0;  // over-budget or legacy-duplicate SAMPLEs discarded
+  uint64_t duplicate_samples = 0;  // repeated or over-budget SAMPLEs discarded
 };
 
 class LiveHarness : public ClientHarness {
@@ -78,7 +80,7 @@ class LiveHarness : public ClientHarness {
 
   // Per-agent health table (DESIGN.md §11): last-seen age, probe miss
   // streak, control RTT EWMA, loss estimate, and the agent's own
-  // piggybacked [stats] payload. One row per registered client, id order.
+  // piggybacked <stats> payload. One row per registered client, id order.
   std::vector<AgentHealthSnapshot> SnapshotAgents() const;
 
   // After this many consecutive unanswered ProbeClients rounds the agent is
@@ -109,14 +111,13 @@ class LiveHarness : public ClientHarness {
     uint64_t pings_sent = 0;     // PING rounds addressed to this agent
     uint64_t pongs_received = 0; // solicited PONGs attributed back
     bool has_agent_stats = false;
-    AgentStats agent;            // last piggybacked [stats] payload
+    AgentStats agent;            // last piggybacked <stats> payload
   };
 
   // Records a datagram attributed to |client| and merges an optional
   // piggybacked payload.
   void TouchAgent(size_t client, const AgentStats* stats);
-  void OnDeliver(const ControlMessage& message, const TransportAddress& from,
-                 uint64_t sender_conn);
+  void OnDeliver(const ControlMessage& message, const TransportAddress& from);
   // Reliable session send to a registered client; returns 0 if unknown.
   Session::TransferId SendTo(size_t client, const ControlMessage& message);
   void Bump(uint64_t& counter, const char* metric, uint64_t delta = 1);
@@ -133,7 +134,6 @@ class LiveHarness : public ClientHarness {
   ControlPlaneStats stats_;
   MetricsRegistry* metrics_ = nullptr;
   std::map<size_t, TransportAddress> clients_;   // registered agents by id
-  std::set<size_t> legacy_clients_;              // agents speaking bare datagrams
   std::map<size_t, AgentHealth> health_;         // health rows by client id
   size_t unhealthy_after_misses_ = 0;            // 0 = ClientHealthy always true
 
@@ -150,8 +150,8 @@ class LiveHarness : public ClientHarness {
     std::map<uint64_t, size_t> token_to_client;
     // token -> samples this command may still contribute (connections).
     std::map<uint64_t, uint32_t> budget;
-    // (token, sample_id) pairs already counted — the legacy-agent dedup
-    // (session agents are deduplicated by (conn, seq) before delivery).
+    // (token, sample_id) pairs already counted: catches a copy that outlives
+    // the session's bounded (conn, seq) dedup window.
     std::set<std::pair<uint64_t, uint64_t>> seen;
     std::vector<RequestSample> samples;
   };

@@ -68,6 +68,14 @@ TEST(ExportJsonTest, AbortedCarriesEscapedReason) {
   EXPECT_NE(json.find("only \\\"12\\\" clients\\nresponded"), std::string::npos);
 }
 
+// Control bytes may not appear raw inside a JSON string.
+TEST(ExportJsonTest, EndDetailEscapesControlBytes) {
+  ExperimentResult result = SampleResult();
+  result.stages[0].end_detail = "a\tb\x01";
+  std::string json = ExportJson(result);
+  EXPECT_NE(json.find("\"end_detail\":\"a\\tb\\u0001\""), std::string::npos) << json;
+}
+
 TEST(ExportJsonTest, NoStoppingSizeWhenNotStopped) {
   ExperimentResult result = SampleResult();
   result.stages[0].stopped = false;

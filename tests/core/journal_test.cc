@@ -406,6 +406,39 @@ TEST(SurveyJournalTest, NotAJournalIsHardError) {
   remove(path.c_str());
 }
 
+// A cohort record without shard keys comes from a writer that predates
+// sharding. Its checksum is valid, so it is not a torn write: Open (resume)
+// and ReadJournalFile refuse the file by name and leave its bytes alone,
+// where the corruption path would truncate it.
+TEST(SurveyJournalTest, UnshardedCohortRecordIsHardError) {
+  std::string path = TempPath("journal_unsharded_cohort.jsonl");
+  remove(path.c_str());
+  {
+    std::string error;
+    ASSERT_NE(SurveyJournal::Open(path, kTool, kPrint, false, &error), nullptr) << error;
+  }
+  std::string cohort = "{\"type\":\"cohort\",\"ordinal\":0,\"cohort\":" +
+                       std::to_string(static_cast<int>(kCohort)) +
+                       ",\"stage\":" + std::to_string(static_cast<int>(kStage)) +
+                       ",\"servers\":3,\"max_crowd\":20,\"seed\":901,\"pid_base\":0}";
+  std::string contents = Slurp(path) + FrameJournalRecord(cohort);
+  Spit(path, contents);
+
+  std::string error;
+  EXPECT_EQ(SurveyJournal::Open(path, kTool, kPrint, true, &error), nullptr);
+  EXPECT_NE(error.find(path), std::string::npos) << error;
+  EXPECT_NE(error.find("no shard keys"), std::string::npos) << error;
+  EXPECT_EQ(Slurp(path), contents);
+
+  JournalFileData data;
+  error.clear();
+  EXPECT_FALSE(ReadJournalFile(path, &data, &error));
+  EXPECT_NE(error.find(path), std::string::npos) << error;
+  EXPECT_NE(error.find("no shard keys"), std::string::npos) << error;
+  EXPECT_EQ(Slurp(path), contents);
+  remove(path.c_str());
+}
+
 TEST(SurveyJournalTest, CohortConfigMismatchFailsBeginCohort) {
   std::string path = TempPath("journal_cohort_mismatch.jsonl");
   remove(path.c_str());

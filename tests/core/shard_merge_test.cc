@@ -500,9 +500,9 @@ TEST(ShardMergeTest, QuarantineRecordCorruptionRecovers) {
   remove(path.c_str());
 }
 
-// Pre-PR-8 journals carry no shard keys; they decode as an unsharded
-// legacy-seed run, so resuming them without --legacy-seeds is a hard
-// mismatch instead of a silent reseed.
+// A cohort record written under --legacy-seeds resumes only under
+// --legacy-seeds: a default BeginCohort is a hard mismatch, never a silent
+// reseed.
 TEST(ShardMergeTest, LegacyJournalRequiresLegacySeeds) {
   std::string path = TempPath("merge_legacy.jsonl");
   remove(path.c_str());

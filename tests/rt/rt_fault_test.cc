@@ -136,21 +136,21 @@ TEST(HttpFetchFaultTest, VetoedConnectReportsAsynchronously) {
 }
 
 // Captures control messages a client agent sends back, standing in for the
-// coordinator.
+// coordinator: a session on its own UDP transport under the coordinator's
+// connection id, as LiveHarness runs it.
 class FakeCoordinator {
  public:
-  explicit FakeCoordinator(Reactor& reactor) : socket_(reactor, 0) {
-    socket_.SetReceiver([this](std::string_view payload, const sockaddr_in&) {
-      auto message = DecodeMessage(payload);
-      if (message.has_value()) {
-        received.push_back(*message);
-      }
-    });
+  explicit FakeCoordinator(Reactor& reactor)
+      : transport_(reactor, 0), session_(transport_, CoordinatorConfig()) {
+    session_.SetDeliveryHandler(
+        [this](const ControlMessage& message, const TransportAddress&, uint64_t) {
+          received.push_back(message);
+        });
   }
 
-  uint16_t Port() const { return socket_.Port(); }
+  uint16_t Port() const { return transport_.Port(); }
   void Send(const ControlMessage& message, uint16_t agent_port) {
-    socket_.SendTo(EncodeMessage(message), LoopbackEndpoint(agent_port));
+    session_.SendReliable(message, TransportAddress::Udp(LoopbackEndpoint(agent_port)));
   }
 
   template <typename T>
@@ -165,7 +165,14 @@ class FakeCoordinator {
   std::vector<ControlMessage> received;
 
  private:
-  UdpSocket socket_;
+  static SessionConfig CoordinatorConfig() {
+    SessionConfig config;
+    config.conn = kCoordinatorConn;
+    return config;
+  }
+
+  UdpTransport transport_;
+  Session session_;  // declared after transport_: destroyed first
 };
 
 // Regression: the RTT-probe completion lambda erases the probe connection via

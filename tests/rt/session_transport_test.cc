@@ -1,7 +1,8 @@
 // Session + transport layer tests (DESIGN.md §13): MemoryHub datagram
 // switching, reliable delivery with deterministic retransmits under injected
 // loss (virtual time via SimTimerSource), receiver dedup, give-up, lane
-// priority, cancellation, legacy fallback, and a real-UDP end-to-end pass.
+// priority, cancellation, unframed-datagram rejection, and a real-UDP
+// end-to-end pass.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -261,27 +262,29 @@ TEST(SessionTest, ControlLaneRetransmitsBeforeBulk) {
   EXPECT_EQ(lane_of(blackhole.sent[3]), kLaneBulk);
 }
 
-TEST(SessionTest, LegacyBareDatagramsDeliverAsConnZero) {
+// A well-formed control message without session framing is not part of the
+// protocol: it is counted as a decode error, never delivered and never acked.
+TEST(SessionTest, UnframedDatagramsAreDroppedNotAcked) {
   EventLoop loop;
   SimTimerSource clock(loop);
   MemoryHub hub(clock);
-  auto legacy_ep = hub.CreateEndpoint();  // a pre-session peer: raw transport
+  auto raw_ep = hub.CreateEndpoint();
   auto session_ep = hub.CreateEndpoint();
   Session receiver(*session_ep, ConnConfig(20));
   size_t delivered = 0;
-  uint64_t from_conn = 99;
   receiver.SetDeliveryHandler(
-      [&](const ControlMessage& message, const TransportAddress&, uint64_t sender_conn) {
-        delivered += std::holds_alternative<MsgRegister>(message) ? 1 : 0;
-        from_conn = sender_conn;
-      });
-  legacy_ep->Send(EncodeMessage(MsgRegister{5}), session_ep->LocalAddress());
+      [&](const ControlMessage&, const TransportAddress&, uint64_t) { ++delivered; });
+  size_t replies = 0;
+  raw_ep->SetReceiver([&](std::string_view, const TransportAddress&) { ++replies; });
+  raw_ep->Send(EncodeMessage(MsgRegister{5}), session_ep->LocalAddress());
   loop.RunUntilIdle();
 
-  EXPECT_EQ(delivered, 1u);
-  EXPECT_EQ(from_conn, 0u);  // the legacy sentinel
-  EXPECT_EQ(receiver.stats().legacy_frames, 1u);
-  EXPECT_EQ(receiver.stats().acks_sent, 0u);  // bare datagrams get no session ack
+  EXPECT_EQ(delivered, 0u);
+  EXPECT_EQ(replies, 0u);
+  EXPECT_EQ(receiver.stats().decode_errors, 1u);
+  EXPECT_EQ(receiver.stats().delivered, 0u);
+  EXPECT_EQ(receiver.stats().acks_sent, 0u);
+  EXPECT_EQ(receiver.stats().legacy_frames, 0u);
 }
 
 TEST(SessionTest, UndecodableDatagramsAreCountedAndDropped) {
@@ -313,7 +316,7 @@ TEST(SessionTest, ReliableRoundTripOverRealUdp) {
       [&](const ControlMessage& message, const TransportAddress& from, uint64_t sender_conn) {
         if (std::holds_alternative<MsgPing>(message) && sender_conn == 10) {
           ++bob_got;
-          bob.SendReliable(MsgPong{std::get<MsgPing>(message).seq}, from);
+          bob.SendReliable(MsgPong{std::get<MsgPing>(message).seq, {}}, from);
         }
       });
   size_t alice_got = 0;

@@ -31,7 +31,6 @@ std::vector<ControlMessage> AllMessages() {
   all.push_back(MsgRegister{7});
   all.push_back(MsgRegister{UINT64_MAX});
   all.push_back(MsgPing{1});
-  all.push_back(MsgPong{5, std::nullopt});
   all.push_back(MsgPong{5, SomeStats()});
   all.push_back(MsgRttProbe{9, 8080});
   all.push_back(MsgRtt{9, 1234567});
@@ -51,8 +50,6 @@ std::vector<ControlMessage> AllMessages() {
   sample.timed_out = true;
   sample.stats = SomeStats();
   all.push_back(sample);
-  all.push_back(MsgRegisterAck{7});
-  all.push_back(MsgSampleAck{3});
   return all;
 }
 
@@ -140,40 +137,35 @@ TEST(WireCodecTest, TruncatedDatagramsNeverMisparse) {
   for (const ControlMessage& message : AllMessages()) {
     std::string wire = EncodeMessage(message);
     for (size_t len = 0; len < wire.size(); ++len) {
-      // A prefix may still be a valid shorter message (e.g. PONG without its
-      // optional [stats] tail) but must never decode to something that fails
-      // to re-encode canonically — and a partial [stats] tail must reject.
+      // A prefix may still be a valid shorter message (e.g. a REGISTER whose
+      // id lost digits) but must never decode to something that fails to
+      // re-encode canonically — and a partial <stats> tail must reject.
       ExpectCanonicalOrRejected(std::string_view(wire).substr(0, len));
     }
   }
 }
 
 TEST(WireCodecTest, PartialStatsTailsAreRejected) {
-  MsgPong pong{5, SomeStats()};
-  std::string wire = EncodeMessage(pong);
-  std::string bare = EncodeMessage(MsgPong{5, std::nullopt});
-  // Chop the stats tail one word at a time: 1..5 stats words present is
-  // neither the bare form (0 words) nor the full form (6), so it must fail.
-  for (int words_removed = 1; words_removed <= 5; ++words_removed) {
-    std::string chopped = wire;
-    for (int w = 0; w < words_removed; ++w) {
-      chopped = chopped.substr(0, chopped.rfind(' '));
-    }
-    ASSERT_NE(chopped, bare);
+  std::string wire = EncodeMessage(MsgPong{5, SomeStats()});
+  ASSERT_TRUE(DecodeMessage(wire).has_value());
+  // The <stats> tail is required: chop it one word at a time, down to no
+  // tail at all, and every shortened PONG must fail.
+  std::string chopped = wire;
+  for (int words_removed = 1; words_removed <= 6; ++words_removed) {
+    chopped = chopped.substr(0, chopped.rfind(' '));
     EXPECT_FALSE(DecodeMessage(chopped).has_value()) << chopped;
   }
-  EXPECT_TRUE(DecodeMessage(bare).has_value());
+  EXPECT_EQ(chopped, "PONG 5");
+  // So is a SAMPLE with no tail, and FIRE's fire-at word.
+  EXPECT_FALSE(DecodeMessage("SAMPLE 13 200 153600 98765 0 3").has_value());
+  EXPECT_TRUE(DecodeMessage("FIRE 13 4 GET 8080 /big.bin 0").has_value());
+  EXPECT_FALSE(DecodeMessage("FIRE 13 4 GET 8080 /big.bin").has_value());
 }
 
 TEST(WireCodecTest, OverlongDatagramsAreRejected) {
   for (const ControlMessage& message : AllMessages()) {
     std::string wire = EncodeMessage(message) + " 99";
-    auto decoded = DecodeMessage(wire);
-    if (decoded.has_value()) {
-      // The only legal growth is a bare PONG/SAMPLE absorbing the start of a
-      // stats tail — and a 1-word tail is invalid, so nothing may decode.
-      ADD_FAILURE() << "accepted overlong datagram: " << wire;
-    }
+    EXPECT_FALSE(DecodeMessage(wire).has_value()) << "accepted overlong datagram: " << wire;
   }
   EXPECT_FALSE(DecodeSessionFrame("S1 1 2 0 1 PING 5 6").has_value());
   EXPECT_FALSE(DecodeSessionAck("A1 1 2 3").has_value());

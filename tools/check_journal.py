@@ -75,17 +75,8 @@ def site_experiment_seed(survey_seed, cohort, index):
     return splitmix64(h ^ index)
 
 
-def cohort_seed_layout(cohort):
-    """(shards, shard_index, legacy_seeds) of a cohort record; pre-PR-8
-    records carry no shard keys and decode as an unsharded legacy run."""
-    if "shards" in cohort:
-        return cohort["shards"], cohort["shard_index"], cohort["legacy_seeds"]
-    return 1, 0, True
-
-
 def expected_site_seed(cohort, index):
-    _, _, legacy = cohort_seed_layout(cohort)
-    if legacy:
+    if cohort["legacy_seeds"]:
         return cohort["seed"] * 1000 + index
     return site_experiment_seed(cohort["seed"], cohort["cohort"], index)
 
@@ -164,9 +155,10 @@ def check_journal(path):
                     "record %d: cohort ordinal %r, expected %d"
                     % (i, rec.get("ordinal"), len(cohorts))
                 )
-            for key in ("cohort", "stage", "servers", "max_crowd", "seed", "pid_base"):
+            for key in ("cohort", "stage", "servers", "max_crowd", "seed", "pid_base",
+                        "shards", "shard_index", "legacy_seeds"):
                 if key not in rec:
-                    return fail("record %d: cohort record missing %r" % (i, key))
+                    return fail("%s: record %d: cohort record missing %r" % (path, i, key))
             cohorts.append(rec)
         elif rtype == "site":
             for key in ("cohort", "index", "seed", "stage", "pid", "result"):
@@ -180,7 +172,7 @@ def check_journal(path):
                         "record %d: site index %d >= cohort servers %d"
                         % (i, index, cohort["servers"])
                     )
-                shards, shard_index, _ = cohort_seed_layout(cohort)
+                shards, shard_index = cohort["shards"], cohort["shard_index"]
                 if index % shards != shard_index:
                     return fail(
                         "record %d: site index %d not in shard %d/%d"
@@ -217,7 +209,7 @@ def check_journal(path):
                         "record %d: quarantine index %d >= cohort servers %d"
                         % (i, index, cohort["servers"])
                     )
-                shards, shard_index, _ = cohort_seed_layout(cohort)
+                shards, shard_index = cohort["shards"], cohort["shard_index"]
                 if index % shards != shard_index:
                     return fail(
                         "record %d: quarantine index %d not in shard %d/%d"
@@ -240,7 +232,7 @@ def check_journal(path):
         last = len(cohorts) - 1
         progressed = any(ordinal == last for ordinal, _ in sites | quarantines)
         if not progressed:
-            shards, shard_index, _ = cohort_seed_layout(cohorts[last])
+            shards, shard_index = cohorts[last]["shards"], cohorts[last]["shard_index"]
             print(
                 "check_journal: NOTE: shard %d/%d is resumable, zero progress on "
                 "cohort %d (BeginCohort written, no site records yet)"
